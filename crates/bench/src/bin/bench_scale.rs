@@ -69,29 +69,18 @@ fn build_server(dir: &std::path::Path) -> NetworkServer {
     builder.build()
 }
 
-/// Sum of the per-shard `server_commit_ns` histogram deltas between two
-/// registry snapshots — the commit-latency distribution of exactly one
-/// run, even though the process-global registry accumulates forever.
+/// The all-shard `server_commit_ns` histogram delta between two registry
+/// snapshots — the commit-latency distribution of exactly one run, even
+/// though the process-global registry accumulates forever.
 fn commit_ns_delta(before: &RegistrySnapshot, after: &RegistrySnapshot) -> HistogramSnapshot {
-    let mut total = HistogramSnapshot::empty();
-    for series in after.series.iter().filter(|s| s.name == "server_commit_ns") {
-        let Some(h) = series.value.as_histogram() else { continue };
-        let mut delta = *h;
-        if let Some(prior) = before
-            .series
-            .iter()
-            .find(|s| s.key() == series.key())
-            .and_then(|s| s.value.as_histogram())
-        {
-            for (d, p) in delta.buckets.iter_mut().zip(prior.buckets.iter()) {
-                *d = d.wrapping_sub(*p);
-            }
-            delta.count = delta.count.wrapping_sub(prior.count);
-            delta.sum = delta.sum.wrapping_sub(prior.sum);
-        }
-        total.merge(&delta);
+    let mut delta = after.histogram_sum("server_commit_ns");
+    let prior = before.histogram_sum("server_commit_ns");
+    for (d, p) in delta.buckets.iter_mut().zip(prior.buckets.iter()) {
+        *d = d.wrapping_sub(*p);
     }
-    total
+    delta.count = delta.count.wrapping_sub(prior.count);
+    delta.sum = delta.sum.wrapping_sub(prior.sum);
+    delta
 }
 
 struct Cell {

@@ -27,5 +27,5 @@ fn main() {
     println!("{t}");
     println!("Paper: average error within ~20 µs for the building SNR range");
     println!("(−1..13 dB) and ~25 µs at −20 dB. Our amplitude-domain pickers match");
-    println!("the first regime; see EXPERIMENTS.md for the low-SNR divergence.");
+    println!("the first regime and degrade faster below about −5 dB.");
 }

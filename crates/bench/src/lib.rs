@@ -3,9 +3,8 @@
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning
 //! structured rows; the `repro_*` binaries print them in the paper's
-//! layout. The mapping from paper artefact to module is indexed in the
-//! repository's `DESIGN.md`; the measured-versus-paper comparison is
-//! recorded in `EXPERIMENTS.md`.
+//! layout. Each module and binary is named after the paper artefact it
+//! reproduces (`fig10` / `repro_fig10`, `table1` / `repro_table1`, ...).
 //!
 //! Run, e.g.:
 //!

@@ -141,8 +141,10 @@ impl FbEstimator {
         unwrap_iq_with(&i[..n], &q[..n], scratch, &mut theta);
         let dt = 1.0 / self.sample_rate;
         let mut xs = scratch.take_real_empty();
+        xs.reserve_exact(n);
         xs.extend((0..n).map(|k| k as f64 * dt));
         let mut linear = scratch.take_real_empty();
+        linear.reserve_exact(theta.len());
         linear.extend(
             theta.iter().enumerate().map(|(k, &p)| p - self.quadratic_angle(k as f64 * dt)),
         );
@@ -191,6 +193,7 @@ impl FbEstimator {
         let reference = self.dechirp_reference()?;
         let m = z.len().min(2 * n);
         out.clear();
+        out.reserve_exact(m);
         out.resize(m, Complex::ZERO);
         // Chunked cyclic multiply (the reference tiles per chirp period):
         // same products in the same order as the modular-index loop this
@@ -247,6 +250,7 @@ impl FbEstimator {
         let rms = (z.iter().map(|v| v.norm_sqr()).sum::<f64>() / z.len().max(1) as f64).sqrt();
         let limit = 4.0 * rms;
         blanked.clear();
+        blanked.reserve_exact(z.len());
         blanked.extend(z.iter().map(|&v| {
             let m = v.norm();
             if m > limit {
@@ -263,6 +267,7 @@ impl FbEstimator {
         // at δ. Pad 4x for a bin width well under 1/T.
         let fft_len = next_pow2(n * 4);
         padded.clear();
+        padded.reserve_exact(fft_len);
         padded.extend_from_slice(d);
         padded.resize(fft_len, Complex::ZERO);
         scratch.planner().plan(fft_len).forward(padded);

@@ -217,11 +217,11 @@ impl SoftLoraGateway {
         let indexed: Vec<(u64, &Delivery)> =
             deliveries.iter().enumerate().map(|(k, d)| (start + k as u64, d)).collect();
         let pipeline = &self.pipeline;
-        // One scratch arena per worker *thread*, persistent across batches:
-        // pooled buffers and FFT twiddle tables (32k-point tables for the
-        // matched filter are the expensive part) are built once per rayon
-        // thread, not once per `process_batch` call, so the parallel front
-        // half is allocation-free in steady state even for small batches.
+        // One scratch arena per pool thread (the caller and the process-wide
+        // rayon workers, which outlive the call): its pooled buffers survive
+        // from one `process_batch` to the next, and its planner holds the
+        // process-wide FFT plans, so a warm front half allocates nothing
+        // and builds no twiddle tables, even for small batches.
         let fronts: Vec<Result<FrontFrame, SoftLoraError>> = indexed
             .par_iter()
             .map(|(frame_index, delivery)| {

@@ -1377,10 +1377,12 @@ impl NetworkServer {
             frame_rows.extend_from_slice(&counters);
         }
 
-        // The embarrassingly parallel front half — one scratch arena per
-        // worker *thread*, persistent across batches, so pooled buffers
-        // and cached FFT plans (including the 32k-point matched-filter
-        // twiddle tables) survive from one `process_batch` to the next.
+        // The embarrassingly parallel front half, one copy per claimed item
+        // on the process-wide rayon pool. Each pool thread (the caller
+        // included) borrows its own scratch arena; the threads outlive the
+        // call, so pooled buffers survive from one `process_batch` to the
+        // next, and every arena shares the process-wide FFT plans
+        // (including the 32k-point matched-filter twiddle tables).
         let fronts = &self.fronts;
         let analysed: Vec<Result<FrontFrame, SoftLoraError>> = jobs
             .par_iter()

@@ -211,8 +211,10 @@ impl CaptureSynth {
         let mut src = GaussianNoise::with_power(noise_power, noise_seed);
         src.add_to(&mut z);
         let mut i = scratch.take_real_empty();
+        i.reserve_exact(z.len());
         i.extend(z.iter().map(|c| c.re));
         let mut q = scratch.take_real_empty();
+        q.reserve_exact(z.len());
         q.extend(z.iter().map(|c| c.im));
         scratch.put_complex(z);
         Ok(CaptureOutput {

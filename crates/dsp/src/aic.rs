@@ -101,8 +101,10 @@ fn aic_curve_into(
 
     // Running sums for O(1) segment variances.
     sum.clear();
+    sum.reserve_exact(n + 1);
     sum.resize(n + 1, 0.0);
     sumsq.clear();
+    sumsq.reserve_exact(n + 1);
     sumsq.resize(n + 1, 0.0);
     for (i, &v) in x.iter().enumerate() {
         sum[i + 1] = sum[i] + v;
@@ -119,6 +121,7 @@ fn aic_curve_into(
     let lo = guard.max(2);
     let hi = n - guard.max(2);
     curve.clear();
+    curve.reserve_exact(n);
     curve.resize(n, f64::INFINITY);
     let mut best = lo;
     for k in lo..hi {
@@ -337,8 +340,10 @@ fn power_aic_curve_into(
         return Err(DspError::InputTooShort { required: min_len, actual: n });
     }
     prefix.clear();
+    prefix.reserve_exact(n + 1);
     prefix.resize(n + 1, 0.0);
     prefix_sq.clear();
+    prefix_sq.reserve_exact(n + 1);
     prefix_sq.resize(n + 1, 0.0);
     for k in 0..n {
         let x = (i[k] * i[k] + q[k] * q[k]).max(1e-300).ln();
@@ -354,6 +359,7 @@ fn power_aic_curve_into(
     let lo = guard.max(2);
     let hi = n - guard.max(2);
     curve.clear();
+    curve.reserve_exact(n);
     curve.resize(n, f64::INFINITY);
     let mut best = lo;
     for k in lo..hi {

@@ -119,9 +119,11 @@ impl EnvelopeDetector {
 
         let lag = self.lag.max(1);
         ratio.clear();
+        ratio.reserve_exact(env.len());
         ratio.resize(env.len(), 1.0);
         // Prefix sums of the envelope for O(1) trailing means.
         let mut prefix = scratch.take_real_empty();
+        prefix.reserve_exact(env.len() + 1);
         prefix.push(0.0);
         for &v in env.iter() {
             prefix.push(prefix.last().unwrap() + v);
@@ -162,11 +164,13 @@ fn moving_average_into(x: &[f64], h: usize, prefix: &mut Vec<f64>, out: &mut Vec
     let n = x.len();
     // Prefix sums for O(n) averaging.
     prefix.clear();
+    prefix.reserve_exact(n + 1);
     prefix.push(0.0);
     for &v in x {
         prefix.push(prefix.last().unwrap() + v);
     }
     out.clear();
+    out.reserve_exact(n);
     for i in 0..n {
         let a = i.saturating_sub(h);
         let b = (i + h + 1).min(n);

@@ -370,7 +370,8 @@ fn fft_transforms_total() -> &'static softlora_telemetry::Counter {
     C.get_or_init(|| softlora_telemetry::global().counter("dsp_fft_transforms_total"))
 }
 
-/// Counter of twiddle-table plans built (cache misses in a planner).
+/// Counter of twiddle-table plans built (misses of the process-wide
+/// plan cache, plus every direct [`FftPlan::new`]).
 fn fft_plans_total() -> &'static softlora_telemetry::Counter {
     static C: std::sync::OnceLock<softlora_telemetry::Counter> = std::sync::OnceLock::new();
     C.get_or_init(|| softlora_telemetry::global().counter("dsp_fft_plans_total"))
@@ -606,11 +607,27 @@ impl FftPlan {
     }
 }
 
-/// A cache of [`FftPlan`]s, one per power-of-two size.
+/// The process-wide plan for an `n`-point transform under `kernel`,
+/// built on first request. Plans are immutable, so every planner in the
+/// process shares one set of twiddle tables per (size, kernel).
+fn shared_plan(n: usize, kernel: FftKernel) -> Arc<FftPlan> {
+    static PLANS: std::sync::Mutex<Vec<Arc<FftPlan>>> = std::sync::Mutex::new(Vec::new());
+    let mut plans = PLANS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some(plan) = plans.iter().find(|p| p.n == n && p.kernel == kernel) {
+        return Arc::clone(plan);
+    }
+    let plan = Arc::new(FftPlan::with_kernel(n, kernel));
+    plans.push(Arc::clone(&plan));
+    plan
+}
+
+/// A handle on the process-wide plan cache, one slot per power-of-two
+/// size.
 ///
-/// Cheap to hold per worker (plans are built lazily and shared via
-/// [`Arc`]); after the first transform of each size the planner allocates
-/// nothing. [`crate::scratch::DspScratch`] embeds one, and the
+/// Cheap to hold per worker: a slot holds an [`Arc`] of the shared plan,
+/// fetched on the first transform of its size (or after the kernel it
+/// follows changes), after which the planner allocates nothing and takes
+/// no lock. [`crate::scratch::DspScratch`] embeds one, and the
 /// module-level wrappers use a thread-local instance.
 #[derive(Debug, Default)]
 pub struct FftPlanner {
@@ -639,7 +656,8 @@ impl FftPlanner {
         self.kernel.unwrap_or_else(FftKernel::active)
     }
 
-    /// The plan for an `n`-point transform, building it on first request.
+    /// The plan for an `n`-point transform under the planner's kernel,
+    /// fetched from the process-wide cache on first request.
     ///
     /// # Panics
     ///
@@ -650,8 +668,12 @@ impl FftPlanner {
         if self.plans.len() <= slot {
             self.plans.resize(slot + 1, None);
         }
-        let kernel = self.kernel.unwrap_or_else(FftKernel::active);
-        self.plans[slot].get_or_insert_with(|| Arc::new(FftPlan::with_kernel(n, kernel)))
+        let kernel = self.active_kernel();
+        let cached = &mut self.plans[slot];
+        if cached.as_ref().is_none_or(|p| p.kernel != kernel) {
+            *cached = Some(shared_plan(n, kernel));
+        }
+        cached.as_ref().expect("slot was just filled")
     }
 
     /// A shareable handle to the `n`-point plan (e.g. to move into a
@@ -672,6 +694,7 @@ impl FftPlanner {
     pub fn forward_into(&mut self, input: &[Complex], out: &mut Vec<Complex>) {
         let n = next_pow2(input.len());
         out.clear();
+        out.reserve_exact(n);
         out.extend_from_slice(input);
         out.resize(n, Complex::ZERO);
         self.plan(n).forward(out);
@@ -682,6 +705,7 @@ impl FftPlanner {
     pub fn inverse_into(&mut self, input: &[Complex], out: &mut Vec<Complex>) {
         let n = next_pow2(input.len());
         out.clear();
+        out.reserve_exact(n);
         out.extend_from_slice(input);
         out.resize(n, Complex::ZERO);
         self.plan(n).inverse(out);
@@ -702,7 +726,7 @@ impl FftPlanner {
         if self.active_kernel() == FftKernel::Fused && n >= 4 {
             let h = n / 2;
             out.clear();
-            out.reserve(n);
+            out.reserve_exact(n);
             // Pack pairs of reals as one complex sample each; the tail
             // beyond `input` is the usual zero padding.
             let mut it = input.chunks_exact(2);
@@ -716,6 +740,7 @@ impl FftPlanner {
             full.forward_real_packed(half_plan, out);
         } else {
             out.clear();
+            out.reserve_exact(n);
             out.extend(input.iter().map(|&x| Complex::new(x, 0.0)));
             out.resize(n, Complex::ZERO);
             self.plan(n).forward(out);
@@ -894,6 +919,26 @@ mod tests {
             }
             assert!((got[k] - want).norm() < 1e-9, "lag {k}");
         }
+    }
+
+    #[test]
+    fn planners_share_plans_per_kernel_only() {
+        let reference = FftPlanner::with_kernel(FftKernel::Reference).plan_arc(64);
+        let fused = FftPlanner::with_kernel(FftKernel::Fused).plan_arc(64);
+        let default = FftPlanner::new().plan_arc(64);
+        assert_eq!(reference.kernel(), FftKernel::Reference);
+        assert_eq!(fused.kernel(), FftKernel::Fused);
+        assert!(!Arc::ptr_eq(&reference, &fused));
+        // A default planner follows the process-wide switch (which other
+        // tests flip) and shares that kernel's plan, never the other one's.
+        let same = match default.kernel() {
+            FftKernel::Fused => &fused,
+            FftKernel::Reference => &reference,
+        };
+        assert!(Arc::ptr_eq(&default, same));
+        // Planners of one kernel share a single table set.
+        let again = FftPlanner::with_kernel(FftKernel::Reference).plan_arc(64);
+        assert!(Arc::ptr_eq(&reference, &again));
     }
 
     #[test]

@@ -71,6 +71,7 @@ pub fn fir_filter_into(signal: &[Complex], taps: &[f64], out: &mut Vec<Complex>)
         return;
     }
     let delay = t / 2;
+    out.reserve_exact(n);
     out.resize(n, Complex::ZERO);
     for (i, o) in out.iter_mut().enumerate() {
         let mut acc = Complex::ZERO;
@@ -103,10 +104,12 @@ pub fn fir_filter_real_with(
     out: &mut Vec<f64>,
 ) {
     let mut z = scratch.take_complex_empty();
+    z.reserve_exact(signal.len());
     z.extend(signal.iter().map(|&x| Complex::new(x, 0.0)));
     let mut filtered = scratch.take_complex_empty();
     fir_filter_into(&z, taps, &mut filtered);
     out.clear();
+    out.reserve_exact(filtered.len());
     out.extend(filtered.iter().map(|c| c.re));
     scratch.put_complex(filtered);
     scratch.put_complex(z);

@@ -109,6 +109,7 @@ pub fn envelope_with(
         return Err(e);
     }
     out.clear();
+    out.reserve_exact(analytic.len());
     out.extend(analytic.iter().map(|z| z.norm()));
     scratch.put_complex(analytic);
     Ok(())

@@ -23,10 +23,9 @@
 //! controls which loop shape runs *and* whether
 //! [`crate::fft::FftPlanner::forward_real_into`] may use the N/2
 //! real-input transform (the only path that is ulp-close rather than
-//! bit-identical). Flip it before the first frame of a run: planners
-//! capture the FFT schedule when a plan is built (both schedules are
-//! bit-identical, so a stale schedule is a perf detail, not a
-//! correctness one).
+//! bit-identical). Flip it before the first frame of a run; a planner that
+//! follows the switch picks up the other kernel's shared plan on its next
+//! transform.
 
 use crate::complex::Complex;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -23,6 +23,15 @@
 //! way every time, each `take` resolves to a buffer whose capacity
 //! already fits — which is what makes the steady state allocation-free
 //! (pinned by the counting-allocator test in `softlora-bench`).
+//!
+//! # Exact sizing
+//!
+//! Arenas live as long as their threads, so a pooled buffer's idle
+//! capacity is resident memory. Code that fills a checked-out buffer
+//! grows it with `reserve_exact` first (the sized `take_*` calls do so
+//! themselves): a buffer then holds the largest length it has served,
+//! not the up-to-double that `Vec`'s amortised growth leaves when a
+//! buffer of capacity `n` is refilled to `n + 1`.
 
 use crate::complex::Complex;
 use crate::fft::FftPlanner;
@@ -30,8 +39,10 @@ use std::cell::RefCell;
 
 /// A per-worker arena: an FFT planner plus pooled complex/real buffers.
 ///
-/// Not `Sync` by design — every worker (rayon `map_init` slot, flowgraph
-/// block, sequential gateway) owns its own instance.
+/// Not `Sync` by design — every worker (rayon pool thread via
+/// [`with_thread_scratch`], flowgraph block, sequential gateway) owns its
+/// own instance. The planner's plans are the exception: immutable and
+/// shared process-wide.
 #[derive(Debug, Default)]
 pub struct DspScratch {
     planner: FftPlanner,
@@ -54,6 +65,7 @@ impl DspScratch {
     pub fn take_complex(&mut self, len: usize) -> Vec<Complex> {
         let mut buf = self.complex.pop().unwrap_or_default();
         buf.clear();
+        buf.reserve_exact(len);
         buf.resize(len, Complex::ZERO);
         buf
     }
@@ -84,6 +96,7 @@ impl DspScratch {
     pub fn take_real(&mut self, len: usize) -> Vec<f64> {
         let mut buf = self.real.pop().unwrap_or_default();
         buf.clear();
+        buf.reserve_exact(len);
         buf.resize(len, 0.0);
         buf
     }

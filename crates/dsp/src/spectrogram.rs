@@ -147,6 +147,7 @@ pub fn stft_with(
     let hop = cfg.hop();
     let fft_len = crate::fft::next_pow2(cfg.window_len);
     let mut seg = scratch.take_complex_empty();
+    seg.reserve_exact(fft_len.max(cfg.window_len));
     let mut power = Vec::new();
     let mut start = 0;
     while start + cfg.window_len <= signal.len() {

@@ -42,6 +42,7 @@ pub fn unwrap_phase(wrapped: &[f64]) -> Vec<f64> {
 /// refilled; capacity reused across calls).
 pub fn unwrap_phase_into(wrapped: &[f64], out: &mut Vec<f64>) {
     out.clear();
+    out.reserve_exact(wrapped.len());
     let mut k = 0.0f64; // the paper's integer k, stored as f64 multiples of 2π
     let mut prev = match wrapped.first() {
         Some(&p) => {
@@ -89,6 +90,7 @@ pub fn unwrap_iq_with(
     out: &mut Vec<f64>,
 ) {
     let mut wrapped = scratch.take_real_empty();
+    wrapped.reserve_exact(i.len().min(q.len()));
     wrapped.extend(i.iter().zip(q.iter()).map(|(&ii, &qq)| qq.atan2(ii)));
     unwrap_phase_into(&wrapped, out);
     scratch.put_real(wrapped);

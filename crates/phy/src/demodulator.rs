@@ -167,6 +167,7 @@ impl Demodulator {
         let chips = self.cfg.sf.chips();
         let os = self.oversample;
         spec.clear();
+        spec.reserve_exact(chips * Self::PAD);
         spec.resize(chips * Self::PAD, Complex::ZERO);
         // Fused dechirp kernel: the conjugate-multiply by the reference and
         // the fold/alias to chip rate (boxcar decimation of the os
@@ -209,6 +210,7 @@ impl Demodulator {
     ) {
         let dt = 1.0 / self.sample_rate();
         out.clear();
+        out.reserve_exact(len);
         out.extend((0..len).map(|n| {
             let idx = abs_start + n;
             if idx < samples.len() {
@@ -671,6 +673,7 @@ impl Demodulator {
         let lo = coarse.saturating_sub(2 * n);
         let hi = (coarse + 2 * n).min(samples.len());
         let mut mags = scratch.dsp.take_real_empty();
+        mags.reserve_exact(hi - lo);
         mags.extend(samples[lo..hi].iter().map(|z| z.norm()));
         let pick = softlora_dsp::aic::aic_onset_with(&mags, 16, &mut scratch.dsp);
         scratch.dsp.put_real(mags);

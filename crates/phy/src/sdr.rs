@@ -58,6 +58,7 @@ impl IqCapture {
     /// cleared and refilled; capacity reused across captures).
     pub fn to_complex_into(&self, out: &mut Vec<Complex>) {
         out.clear();
+        out.reserve_exact(self.i.len().min(self.q.len()));
         out.extend(self.i.iter().zip(self.q.iter()).map(|(&i, &q)| Complex::new(i, q)));
     }
 
@@ -236,6 +237,7 @@ impl SdrReceiver {
         let theta = theta_tx - theta_rx;
 
         z.clear();
+        z.reserve_exact(lead + n_chirps * generator.samples_per_chirp());
         z.resize(lead, Complex::ZERO);
         for k in 0..n_chirps {
             // Keep the bias phase continuous across chirps: the k-th chirp

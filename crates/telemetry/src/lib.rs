@@ -450,6 +450,20 @@ impl RegistrySnapshot {
         self.series.iter().filter(|s| s.name == name).filter_map(|s| s.value.as_counter()).sum()
     }
 
+    /// Merge of all histogram series whose name matches `name` (any
+    /// labels) — the family-wide distribution, e.g. commit latency over
+    /// every shard. Empty when no such series exists.
+    #[must_use]
+    pub fn histogram_sum(&self, name: &str) -> HistogramSnapshot {
+        let mut total = HistogramSnapshot::empty();
+        for h in
+            self.series.iter().filter(|s| s.name == name).filter_map(|s| s.value.as_histogram())
+        {
+            total.merge(h);
+        }
+        total
+    }
+
     /// Prometheus-style text exposition.
     ///
     /// Counters and gauges render as `key value`; histograms expand to
@@ -581,6 +595,24 @@ mod tests {
         b.add(2);
         assert_eq!(a.get(), 3);
         assert_eq!(r.snapshot().counter_sum("hits"), 3);
+    }
+
+    #[test]
+    fn histogram_sum_merges_every_series_of_a_family() {
+        let r = Registry::new();
+        let _idle = r.histogram_with("commit_ns", &[("shard", "0")]);
+        let busy = r.histogram_with("commit_ns", &[("shard", "1")]);
+        busy.record(100);
+        busy.record(300);
+        r.histogram_with("other_ns", &[("shard", "1")]).record(7);
+        let snap = r.snapshot();
+        // The first series of the family is the empty shard 0 ...
+        let first = snap.find("commit_ns").and_then(|s| s.value.as_histogram()).expect("series");
+        assert_eq!(first.count, 0);
+        // ... the family-wide merge sees both shards.
+        let all = snap.histogram_sum("commit_ns");
+        assert_eq!((all.count, all.sum), (2, 400));
+        assert!(snap.histogram_sum("absent_ns").is_empty());
     }
 
     #[test]

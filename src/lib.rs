@@ -18,9 +18,8 @@
 //! | [`net`] | the wire-protocol front door: Semtech-UDP-style gateway frames, the UDP/loopback listener feeding the sharded server tail, the fleet-scale load generator |
 //! | [`softlora`] | the paper's contribution: PHY timestamping, FB estimation, FB database, replay detection, the SoftLoRa gateway, the streaming network-server blocks |
 //!
-//! See the repository `README.md` for a guided tour, `DESIGN.md` for the
-//! system inventory, and `EXPERIMENTS.md` for the paper-versus-measured
-//! record. The `examples/` directory holds runnable scenarios; the
+//! See the repository `README.md` for a guided tour. The `examples/`
+//! directory holds runnable scenarios; the
 //! `softlora-bench` crate regenerates every table and figure of the
 //! paper's evaluation.
 //!
